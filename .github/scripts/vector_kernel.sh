@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # CI gate: the vector (struct-of-arrays) backend must stay bit-identical
-# to the object kernel's synchronous oracle AND meaningfully faster.
+# to the object kernel AND meaningfully faster.  Both compute the same
+# two-phase (decide, then commit) stepping; the object kernel's default,
+# and only, stepping is that semantics, so no mode is switched on.
 #
 # Two stages:
 #   1. The bit-identity matrix (tests/test_vector_kernel.py): object vs
 #      vector counters, histograms and delegation stats on mesh4x4 /
 #      mesh8x8 x {baseline, DR} x {light, saturated} plus the
 #      randomized-config property case and the full-system runs
-#      (fault-free and loss-plan chaos).
+#      (fault-free and loss-plan chaos), all on freshly built fabrics.
 #   2. A saturated 16x16 probe, timed back-to-back in one process on
 #      both backends: vector must deliver >= 3x the object kernel's
 #      cycles/sec (typical margin is ~7x, so 3x only trips on a real

@@ -246,13 +246,12 @@ class FaultController:
             )
         else:
             self._detour.pop(net.name, None)
-        if not net.full_scan:
-            if net.name in self._detour:
-                self.on_tables_rebuilt(net)
-            else:
-                # healthy again: restore the configured dimension-order
-                # tables (the rebuilt hook sees a clean mask and no-ops)
-                net._build_route_tables()
+        if net.name in self._detour:
+            self.on_tables_rebuilt(net)
+        else:
+            # healthy again: restore the configured dimension-order
+            # tables (the rebuilt hook sees a clean mask and no-ops)
+            net._build_route_tables()
         self._wake_all(net)
 
     def _wake_all(self, net) -> None:
@@ -267,12 +266,10 @@ class FaultController:
     def on_tables_rebuilt(self, net) -> None:
         """Re-apply the detour tables after ``_build_route_tables``.
 
-        Keeps degraded routing in force across table rebuilds (e.g.
-        ``set_reference_stepping(False)``); in full-scan mode tables stay
-        ``None`` and ``route_port`` serves detours directly.
+        Keeps degraded routing in force across table rebuilds.
         """
         tbl = self._detour.get(net.name)
-        if tbl is None or net.full_scan:
+        if tbl is None:
             return
         kinds = {NetKind.REQUEST: tbl, NetKind.REPLY: tbl}
         net._dor_tables = kinds
@@ -282,8 +279,8 @@ class FaultController:
     def route_port(self, net, rid: int, dst: int) -> int:
         """Healthy next-hop port while the link mask is dirty, else -1.
 
-        Backs ``PhysicalNetwork.route``/``dor_port`` when precomputed
-        tables are off (adaptive routing, full-scan mode).  Adaptivity is
+        Backs ``PhysicalNetwork.route`` when precomputed tables are off
+        (adaptive routing).  Adaptivity is
         deliberately suspended while links are down: minimal-path choice
         sets cannot see the health mask, the BFS detour tables can.
         """

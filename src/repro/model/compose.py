@@ -115,6 +115,19 @@ CRIT_OCC_POW = 8.0
 #: lightly-clogged points (NN under Delegated Replies, depth ~1.1) from
 #: being charged the full pegged-queue occupancy.
 CRIT_OCC_RAMP = 2.0
+#: memory-node load balance under a shared wavefront.  All cores stream
+#: through the same few hot blocks, so at any moment the GPU demand is
+#: split over the memory nodes by how those blocks hash, not evenly; the
+#: cores wait on the hottest node and the others run below saturation.
+#: CPU requests hash uniformly, so they see the mean node, not the
+#: hottest.  The hot set's effective size is the inverse Herfindahl
+#: index of the wavefront's Gaussian block distribution, ``2 sqrt(pi)``
+#: blocks per unit of skew, diluted by the private (spread) accesses.
+WAVEFRONT_BLOCKS_PER_SKEW = 2.0 * math.sqrt(math.pi)
+#: fraction of the hottest node's excess share that throttles the cores
+#: (warps blocked on other nodes keep issuing); fitted on the mesh4x4
+#: and fig11 grids.
+WAVEFRONT_COUPLING = 0.5
 MAX_ITERS = 40
 DAMP = 0.5
 _EPS = 1e-9
@@ -294,6 +307,9 @@ def predict(
     gpu_hit = min(1.0, g.p_reuse ** K_GPU_REUSE)
     gpu_miss = 1.0 - gpu_hit
     wf = g.write_fraction
+    if not g.writes_shared:
+        # the generator turns writes to read-only shared data into reads
+        wf *= 1.0 - g.p_shared
     p_read_miss = (1.0 - wf) * gpu_miss
     warps = cfg.gpu_core.warps
     if g.active_warps:
@@ -347,6 +363,20 @@ def predict(
 
     f_gpu_rep = cfg.noc.flits_for(cfg.gpu_l1.line_bytes)
     GPU, REP = TrafficClass.GPU, NetKind.REPLY
+
+    # mean memory-node load relative to the hottest node (see
+    # WAVEFRONT_BLOCKS_PER_SKEW): the hottest of n nodes carries its even
+    # share inflated by the expected maximum of n standard normals times
+    # the share's coefficient of variation over the hot set, of which
+    # WAVEFRONT_COUPLING throttles the cores.
+    balance = 1.0
+    if g.p_shared > 0.0 and n_mem > 1:
+        from statistics import NormalDist  # lazy: keeps `import repro` lean
+
+        hot_blocks = WAVEFRONT_BLOCKS_PER_SKEW * max(g.skew, 1.0) / g.p_shared ** 2
+        share_cv = math.sqrt((n_mem - 1) / hot_blocks)
+        e_max = NormalDist().inv_cdf((n_mem - 0.375) / (n_mem + 0.25))
+        balance = 1.0 / (1.0 + WAVEFRONT_COUPLING * share_cv * e_max)
 
     # --- fixed point ------------------------------------------------------
     rate_cpu_req = 0.0
@@ -623,7 +653,9 @@ def predict(
             upstream = min(max(backlog - inventory, 0.0), FIFO_PKTS_MAX)
             w_fifo = K_FIFO_MIX * cpu_mix * upstream / max(x_node, 0.01)
         w_mem = w_up + w_in + svc_mem + w_out
-        w_mem_cpu = w_up + w_in + svc_mem_cpu + w_out + w_fifo
+        # CPU requests hash over all memory nodes: their queueing is the
+        # mean node's, below the hottest node's that throttles the GPUs
+        w_mem_cpu = balance * (w_up + w_in + w_out + w_fifo) + svc_mem_cpu
 
         # 5. path latencies and the damped update -------------------------
         def path(name: str) -> float:

@@ -16,22 +16,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
-from repro.noc.router import LOCAL_PORT, Router
+from repro.noc.router import LOCAL_PORT, Router, commit_moves
 from repro.noc.routing import RoutingAlgorithm, build_routing
 from repro.noc.topology import BaseTopology
-
-
-class _EverySet(set):
-    """A set that contains everything.
-
-    Installed as ``net._active_ids`` under synchronous (oracle) stepping:
-    the hot-path membership guards in ``accept_flit``/``_move_flit`` then
-    short-circuit, so no wake/heap bookkeeping runs — the sync step
-    arbitrates every active router every pass anyway.
-    """
-
-    def __contains__(self, item) -> bool:  # noqa: D105
-        return True
 
 
 class PhysicalNetwork:
@@ -109,21 +96,11 @@ class PhysicalNetwork:
         #: delivered packet counts per message type (int value of MessageType)
         self.delivered_by_type: Dict[int, int] = {}
         # -- active-set scheduling state --------------------------------
-        #: routers that must be arbitrated this cycle (exact, not a scan)
+        #: routers the next decide pass visits (exact, not a scan)
         self._active_ids: set = set()
         #: min-heap of (cycle, rid) wake-ups for routers sleeping through
         #: a known pipeline dwell
         self._wakes: List[Tuple[int, int]] = []
-        #: working min-heap of rids during a step; activations behind the
-        #: cursor wait for the next cycle, exactly like the full scan
-        self._heap: List[int] = []
-        self._cursor = -1
-        #: True restores the naive scan-every-router reference stepping
-        #: (the equivalence tests compare both modes counter-for-counter)
-        self.full_scan = False
-        #: True while the fabric steps this net in synchronous (oracle)
-        #: mode; ``_active_ids`` is then an always-true membership set.
-        self.sync_stepping = False
         self._build_route_tables()
 
     # -- routing tables -------------------------------------------------
@@ -223,24 +200,15 @@ class PhysicalNetwork:
     # -- stepping and statistics ----------------------------------------
 
     def mark_router_active(self, rid: int) -> None:
-        """Schedule a router for arbitration (called on every flit arrival).
-
-        Activations during a step join the current cycle only when the
-        scheduler's cursor has not passed them yet — identical to what a
-        low-to-high full scan would have observed.
-        """
-        ids = self._active_ids
-        if rid not in ids:
-            ids.add(rid)
-            if rid > self._cursor >= 0:
-                heappush(self._heap, rid)
+        """Schedule a router for the next decide pass."""
+        self._active_ids.add(rid)
 
     def schedule_wake(self, at: int, rid: int) -> None:
         """Arm a timed wake for a sleeping router at cycle ``at``.
 
         A router keeps at most one armed heap entry at its earliest wake
         cycle; later wake requests are covered by the armed entry (the
-        woken arbitration pass re-sleeps with the then-earliest cycle).
+        woken decide pass re-sleeps with the then-earliest cycle).
         """
         router = self.routers[rid]
         armed = router.wake_armed
@@ -249,19 +217,20 @@ class PhysicalNetwork:
         heappush(self._wakes, (at, rid))
         router.wake_armed = at
 
-    def step(self, cycle: int) -> None:
-        self.cycles += 1
-        frozen = self.fault_frozen
-        if self.full_scan:
-            if frozen:
-                for router in self.routers:
-                    if router.active and router.rid not in frozen:
-                        router.step(cycle)
-            else:
-                for router in self.routers:
-                    if router.active:
-                        router.step(cycle)
-            return
+    def decide(self, cycle: int) -> List:
+        """Phase A of one pass: switch allocation for every awake router.
+
+        Visits the active set in ascending router id and returns the
+        chosen moves of every router (:meth:`Router.decide`), for
+        :func:`~repro.noc.router.commit_moves` to apply.  The
+        visit order does not change any decision — nothing moves until
+        phase B — it only fixes the commit order.  A router whose head
+        worms all wait on an event that wakes it leaves the active set;
+        the wake (a flit arrival, a drain, a reopened ejection gate, a
+        fault-state change) re-adds it for the next pass, and pipeline
+        dwells arm a timed wake.  Frozen routers are skipped but stay
+        in the active set, so a thaw needs no wake machinery.
+        """
         ids = self._active_ids
         wakes = self._wakes
         routers = self.routers
@@ -269,54 +238,22 @@ class PhysicalNetwork:
             rid = heappop(wakes)[1]
             ids.add(rid)
             routers[rid].wake_armed = -1
+        moves: List = []
         if not ids:
-            return
-        # scan a sorted snapshot by index; routers woken mid-cycle land on
-        # the (usually empty) ``late`` min-heap and are merged in rid order,
-        # so the visit order is exactly the full scan's low-to-high order
-        if len(ids) == len(routers):
-            order = range(len(routers))  # saturated: all rids, already sorted
-        else:
-            order = sorted(ids)
-        late = self._heap
-        bw1 = self.bandwidth == 1
-        i = 0
-        n = len(order)
-        while True:
-            if late and (i >= n or late[0] < order[i]):
-                rid = heappop(late)
-            elif i < n:
-                rid = order[i]
-                i += 1
-            else:
-                break
-            self._cursor = rid
+            return moves
+        frozen = self.fault_frozen
+        decide = Router.decide
+        for rid in range(len(routers)) if len(ids) == len(routers) else sorted(ids):
             if frozen and rid in frozen:
-                # frozen router: buffers hold their flits, nothing
-                # arbitrates; stays in the active set for the thaw
                 continue
             router = routers[rid]
             if not router.active:
                 ids.discard(rid)
-                continue
-            # single-bandwidth links skip the bandwidth-loop wrapper and
-            # arbitrate directly (same semantics as router.step)
-            moved = (
-                router._arbitrate_once(cycle, self) if bw1 else router.step(cycle)
-            )
-            if not router.active:
+            elif not decide(router, cycle, moves):
                 ids.discard(rid)
-            elif not moved and not router.rescan:
-                # every head worm waits on a future event: sleep until the
-                # earliest pipeline-ready cycle, or until a flit arrives
-                ids.discard(rid)
-                wa = router.wake_at
-                if wa >= 0:
-                    armed = router.wake_armed
-                    if armed < 0 or wa < armed:
-                        heappush(wakes, (wa, rid))
-                        router.wake_armed = wa
-        self._cursor = -1
+                if router.wake_at >= 0:
+                    self.schedule_wake(router.wake_at, rid)
+        return moves
 
     def link_utilization(self, rid: int, oport: int) -> float:
         """Fraction of cycles the directed link out of ``(rid, oport)``
@@ -416,11 +353,6 @@ class NocFabric:
         #: because their per-cycle blocked/observed accounting and the
         #: delegation trigger must run every cycle.
         self._active_nics: set = set(mem_set)
-        #: True restores the naive inject-every-NIC reference stepping.
-        self.full_scan = False
-        #: True switches to synchronous two-phase stepping (the vector
-        #: backend's oracle mode; see :meth:`set_sync_stepping`).
-        self.sync_stepping = False
         #: attached telemetry collector (None = disabled).
         self.telemetry = None
         #: attached fault controller (None = no fault plan installed).
@@ -476,103 +408,36 @@ class NocFabric:
     def wake_node_routers(self, node: int) -> None:
         """Re-arbitrate ``node``'s local routers (ejection-gate reopened)."""
         for net in self._net_list:
-            if node not in net._active_ids and net.routers[node].active:
-                net.mark_router_active(node)
-
-    def set_reference_stepping(self, on: bool = True) -> None:
-        """Toggle the naive full-scan reference implementation.
-
-        The optimised scheduler (active router/NIC sets, wake heap, routing
-        tables) must be behaviour-preserving; equivalence tests run the
-        same seeded workload in both modes and assert every counter in
-        ``collect_counters`` is bit-identical.
-        """
-        self.full_scan = on
-        for net in self._net_list:
-            net.full_scan = on
-            if on:
-                net._det_tables = None
-                net._dor_tables = None
-            else:
-                net._build_route_tables()
-
-    def set_sync_stepping(self, on: bool = True) -> None:
-        """Toggle synchronous two-phase (decide-then-commit) stepping.
-
-        This is the oracle mode the vector backend is validated against
-        (DESIGN.md §12).  Each bandwidth pass first collects every
-        router's switch-allocation decisions against the frozen
-        start-of-pass state (:meth:`Router.collect_sync`), then applies
-        all moves in (network, router id, winner key) order; NICs then
-        inject in ascending node order.  Sequential same-cycle ripple —
-        a flit moved by router 3 being moved again by router 5, credits
-        freed earlier in the scan being visible later in it — is thereby
-        removed: that ripple is scan-order-dependent, which is exactly
-        the latent ordering assumption a batch array kernel cannot
-        reproduce.  The default stepping is untouched; this mode exists
-        for the bit-identity tests pinning vector against object.
-        """
-        if on and self.routing.adaptive:
-            raise ValueError(
-                "synchronous (oracle) stepping does not support adaptive "
-                "routing; use the default stepping"
-            )
-        if on and self.telemetry is not None:
-            raise ValueError(
-                "synchronous (oracle) stepping does not support telemetry; "
-                "detach the collector first"
-            )
-        self.sync_stepping = on
-        for net in self._net_list:
-            net.sync_stepping = on
-            if on:
-                # every router is visited every pass: neutralise the
-                # active-set wake bookkeeping on the accept/move paths
-                net._active_ids = _EverySet()
-                net._wakes.clear()
-                for router in net.routers:
-                    router.wake_armed = -1
-            else:
-                net._active_ids = {
-                    r.rid for r in net.routers if r.active
-                }
-
-    def _step_sync(self, cycle: int) -> None:
-        """One synchronous two-phase fabric cycle (oracle mode)."""
-        for net in self._net_list:
-            net.cycles += 1
-        moves: List = []
-        for _ in range(self.bandwidth):
-            del moves[:]
-            for net in self._net_list:
-                frozen = net.fault_frozen
-                routers = net.routers
-                if frozen:
-                    for router in routers:
-                        if router.active and router.rid not in frozen:
-                            router.collect_sync(cycle, net, moves)
-                else:
-                    for router in routers:
-                        if router.active:
-                            router.collect_sync(cycle, net, moves)
-            if not moves:
-                break
-            for router, iport, ivc, oport, q in moves:
-                router._move_flit(iport, ivc, oport, cycle, q)
-        for nic in self.nics:
-            nic.inject_step(cycle)
+            if net.routers[node].active:
+                net._active_ids.add(node)
 
     def step(self, cycle: int) -> None:
-        """Advance the fabric one cycle: route flits, then inject."""
-        if self.sync_stepping:
-            self._step_sync(cycle)
-            return
-        for net in self._net_list:
-            net.step(cycle)
-        if self.full_scan:
-            for nic in self.nics:
-                nic.inject_step(cycle)
-            return
+        """Advance the fabric one cycle in two phases, then inject.
+
+        Each of ``bandwidth`` passes first decides switch allocation for
+        every router against the state frozen at the start of the pass
+        (phase A, :meth:`PhysicalNetwork.decide`), then commits all the
+        moves in (network, router id, winner key) order (phase B).  A
+        flit therefore moves at most one hop per pass, and no switch
+        allocation sees another router's moves of the same pass — the
+        property that lets the vector backend compute the same cycle in
+        batch array operations (DESIGN.md §6).  NICs with work then
+        inject in ascending node order.
+        """
+        nets = self._net_list
+        for net in nets:
+            net.cycles += 1
+        for _ in range(self.bandwidth):
+            decided = []
+            for net in nets:
+                if net._active_ids or net._wakes:  # idle nets skip the call
+                    moves = net.decide(cycle)
+                    if moves:
+                        decided.append((net, moves))
+            if not decided:
+                break
+            for net, moves in decided:
+                commit_moves(net, moves, cycle)
         active = self._active_nics
         if not active:
             return

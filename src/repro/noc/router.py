@@ -66,7 +66,6 @@ class Router:
         "downstream",
         "upstream",
         "flits_routed",
-        "rescan",
         "wake_at",
         "wake_armed",
     )
@@ -114,13 +113,9 @@ class Router:
         self.upstream: List[Optional["Router"]] = [None] * nports
         #: total flits moved through this router (energy model input).
         self.flits_routed = 0
-        #: stall classification of the last arbitration pass, read by the
-        #: network's active-set scheduler.  ``rescan`` means some head worm
-        #: waits on a condition this router cannot observe changing
-        #: (downstream credit, ejection gate, adaptive re-route), so the
-        #: router must be re-arbitrated every cycle.  ``wake_at`` is the
-        #: earliest pipeline-ready cycle among dwelling headers (-1: none).
-        self.rescan = True
+        #: earliest pipeline-ready cycle among dwelling headers at the last
+        #: decide pass that left the router asleep (-1: none); read by the
+        #: network's active-set scheduler to arm a timed wake.
         self.wake_at = -1
         #: earliest timed wake currently sitting in the network's wake heap
         #: for this router (-1: none); lets the scheduler avoid pushing a
@@ -158,11 +153,10 @@ class Router:
             self.active[(port, vc)] = q
             # telemetry: head arrival (once per worm, at its destination
             # router only) and the pipeline-dwell stall record.  The dwell
-            # record opens *here*, not in arbitration: an event-driven run
-            # sleeps through the dwell on a timed wake and would otherwise
-            # never observe it, while a full scan re-observes it every
-            # cycle as a no-op — opening at arrival keeps both charges equal.
-            # The worm is first visible to per-cycle accounting at cycle+1.
+            # record opens *here*, not in arbitration: the active-set
+            # scheduler sleeps through the dwell on a timed wake and would
+            # otherwise never observe it.  The worm is first visible to
+            # per-cycle accounting at cycle+1.
             tel = self.net.telemetry
             if tel is not None and pkt.dst == self.rid:
                 tel.on_head(pkt, cycle)
@@ -177,16 +171,16 @@ class Router:
         # membership guard — the receiver is usually awake already).  While
         # the head worm is still dwelling in the router pipeline nothing
         # can move before its ready cycle, so arrivals during the dwell arm
-        # a timed wake instead of forcing a no-op arbitration pass per flit.
-        net = self.net
-        if self.rid not in net._active_ids:
+        # a timed wake instead of forcing a no-op decide pass per flit.
+        ids = self.net._active_ids
+        if self.rid not in ids:
             ready = q[0][_READY]
             if ready > cycle:
                 armed = self.wake_armed
                 if armed < 0 or armed > ready:
-                    net.schedule_wake(ready, self.rid)
+                    self.net.schedule_wake(ready, self.rid)
             else:
-                net.mark_router_active(self.rid)
+                ids.add(self.rid)
 
     def free_flits(self, port: int) -> int:
         """Total free buffer space on an input port (congestion metric)."""
@@ -204,34 +198,33 @@ class Router:
     # per-cycle switch traversal
     # ------------------------------------------------------------------
 
-    def step(self, cycle: int) -> bool:
-        """Arbitrate each output port and move up to ``bw`` flits per port.
+    def decide(self, cycle: int, moves: List) -> bool:
+        """Phase A of the fabric's two-phase step: switch allocation.
 
-        Returns True when any flit moved this cycle (the network scheduler
-        keeps the router active in that case).
-        """
-        if not self.active:
-            return False
-        net = self.net
-        bw = net.bandwidth
-        if bw == 1:
-            return self._arbitrate_once(cycle, net)
-        moved_any = False
-        for _ in range(bw):
-            if not self._arbitrate_once(cycle, net):
-                break
-            moved_any = True
-        return moved_any
+        Admits every movable head worm and picks one winner per output
+        port (class-major, then age) and per input port, against the
+        state frozen at the start of the pass: occupancy, credits and
+        write locks do not change here, so no router sees another's
+        moves of the same pass.  The chosen moves are *appended* to
+        ``moves`` as ``(router, iport, ivc, oport, q)``; the fabric
+        applies them all in phase B (:func:`commit_moves`).
+        Route choices and VC allocations (``route_out``/``out_vc``) are
+        phase-A decisions and persist even when the worm loses switch
+        allocation.
 
-    def _arbitrate_once(self, cycle: int, net: "PhysicalNetwork") -> bool:
-        """One switch-allocation pass; returns True if any flit moved.
+        Returns True when the router must be visited again next pass: it
+        appended a move, or some head worm waits on a condition this
+        router cannot observe changing (a downed link, an adaptive
+        re-route, no admissible output).  Otherwise every head worm
+        waits on an event that wakes the router: worms dwelling in the
+        router pipeline wake at ``self.wake_at`` (-1: none), worms
+        waiting for upstream flits wake on ``accept_flit``, credit and
+        VC stalls on the downstream drain, closed ejection gates on
+        ``notify_eject_ready``.
 
-        When nothing moves, ``self.rescan``/``self.wake_at`` classify the
-        stalls so the network can skip this router until something can
-        change: worms dwelling in the router pipeline wake at a known
-        cycle, worms waiting for upstream flits wake on ``accept_flit``,
-        and everything else (credit stalls, ejection gates, adaptive
-        re-routes) forces a rescan every cycle.
+        With stall attribution on, every blocked head worm is charged
+        exactly one stall class per pass, losers of switch allocation
+        included (``_ST_SWITCH``).
         """
         # output port -> (priority key, iport, ivc); built lazily — the
         # overwhelmingly common case is zero or one candidate.
@@ -243,6 +236,7 @@ class Router:
         out_vc = self.out_vc
         sent = self.sent
         downstream = self.downstream
+        net = self.net
         rescan = False
         wake_at = -1
         dead = None
@@ -279,7 +273,7 @@ class Router:
                     rescan = True
                     if tel is not None:
                         tel.on_stall(self, iport, ivc, pkt, _ST_ROUTE, cycle)
-                    continue  # no admissible output this cycle
+                    continue  # no admissible output this pass
                 route_out[iport][ivc] = oport
             if oport == LOCAL_PORT:
                 # ejection: gate new worms on endpoint acceptance.  A closed
@@ -293,7 +287,7 @@ class Router:
                 if fa is not None and (self.rid, oport) in net.fault_down:
                     # chosen link is down: hold the worm here and, unless
                     # a VC is already allocated on it, allow a re-route so
-                    # the detour tables take over next cycle
+                    # the detour tables take over next pass
                     if out_vc[iport][ivc] < 0:
                         route_out[iport][ivc] = -1
                     rescan = True
@@ -317,9 +311,9 @@ class Router:
                         continue  # lock holder streams from *this* router:
                         # its tail (our move) or a drain wakes us
                 elif not self._allocate_vc(iport, ivc, oport, pkt, down, dport):
-                    if net.escape_vc_active and out_vc[iport][ivc] < 0:
+                    if net.escape_vc_active:
                         # adaptive choice stuck before VC allocation: allow a
-                        # re-route next cycle so the escape (DOR) path stays
+                        # re-route next pass so the escape (DOR) path stays
                         # reachable (deadlock freedom).
                         route_out[iport][ivc] = -1
                         rescan = True
@@ -350,168 +344,30 @@ class Router:
             for key_iv in dead:
                 active_pop(key_iv, None)
         if winners is None:
-            if ncand == 0:
-                self.rescan = rescan
-                self.wake_at = wake_at
-                return False
-            # single candidate: it wins its output port unopposed.  This is
-            # the dominant exit, so _move_flit is inlined here verbatim to
-            # reuse the locals already bound above (keep both in sync).
-            if tel is not None:
-                tel.on_advance(self, win_iport, win_ivc, cycle)
-            q = win_q
-            head = q[0]
-            pkt = head[_PKT]
-            head[_AVAIL] -= 1
-            self.occ[win_iport][win_ivc] -= 1
-            sent_row = sent[win_iport]
-            nsent = sent_row[win_ivc] + 1
-            sent_row[win_ivc] = nsent
-            self.flits_routed += 1
-            up = self.upstream[win_iport]
-            if up is not None and up.active and up.rid not in net._active_ids:
-                net.mark_router_active(up.rid)
-            is_tail = nsent == pkt.size_flits
-            if win_oport == LOCAL_PORT:
-                if is_tail:
-                    net.eject_flit(self.rid, pkt, is_tail, cycle)
-            else:
-                down, dport = downstream[win_oport]
-                down.accept_flit(
-                    dport, out_vc[win_iport][win_ivc], pkt, is_tail, cycle
-                )
-                net.link_flits[self.rid][win_oport] += 1
-                if fa is not None and nsent == 1:
-                    fa.on_link_head(net, self.rid, win_oport, pkt)
-            if is_tail:
-                pkt.hops += 1
-                q.popleft()
-                route_out[win_iport][win_ivc] = -1
-                out_vc[win_iport][win_ivc] = -1
-                sent_row[win_ivc] = 0
-                if not q:
-                    self.active.pop((win_iport, win_ivc), None)
-            self.rescan = True
-            return True
+            if ncand:
+                # single candidate: it wins its output port unopposed
+                moves.append((self, win_iport, win_ivc, win_oport, win_q))
+                return True
+            self.wake_at = wake_at
+            return rescan
         # the crossbar transfers at most one flit per input port and one
         # per output port per cycle (Section II's switch constraints);
         # winners is per-output already, now enforce per-input uniqueness
-        taken_inputs = set()
-        moved = False
-        moved_vcs = None if tel is None else set()
-        for oport, (key, iport, ivc, q) in sorted(
+        moved_vc: Dict[int, int] = {}  # input port -> the VC it moves
+        for oport, (_key, iport, ivc, q) in sorted(
             winners.items(), key=lambda kv: kv[1][0]
         ):
-            if iport in taken_inputs:
-                continue
-            taken_inputs.add(iport)
-            self._move_flit(iport, ivc, oport, cycle, q)
-            moved = True
-            if moved_vcs is not None:
-                moved_vcs.add((iport, ivc))
+            if iport not in moved_vc:
+                moved_vc[iport] = ivc
+                moves.append((self, iport, ivc, oport, q))
         if tel is not None:
-            # every candidate that did not move lost switch allocation to
-            # a higher-priority worm (or to per-input uniqueness) — charge
-            # it so each blocked head worm is billed exactly one class.
+            # every candidate that does not move lost switch allocation
+            # to a higher-priority worm (or to per-input uniqueness) —
+            # charge it so each blocked head worm is billed exactly once
             for iport, ivc, pkt in cands:
-                if (iport, ivc) not in moved_vcs:
+                if moved_vc.get(iport) != ivc:
                     tel.on_stall(self, iport, ivc, pkt, _ST_SWITCH, cycle)
-        self.rescan = True
-        return moved
-
-    def collect_sync(self, cycle: int, net, moves: List) -> None:
-        """Phase A of the synchronous two-phase oracle (DESIGN.md §12).
-
-        Runs the exact candidate admission and winner selection of
-        :meth:`_arbitrate_once`, but *appends* the chosen moves to
-        ``moves`` instead of applying them, so every router in the fabric
-        arbitrates against the same start-of-pass state.  The fabric then
-        applies all collected moves in one batch (phase B) — the same
-        decide-then-commit split the vector backend's array kernel uses,
-        which is what makes the two bit-comparable.
-
-        VC allocations (``out_vc``) made here are phase-A decisions and
-        persist even when the worm loses switch allocation, exactly like
-        the sequential arbiter.  Telemetry hooks are deliberately absent:
-        sync stepping refuses to run traced
-        (:meth:`~repro.noc.network.NocFabric.set_sync_stepping`).
-        """
-        winners: Optional[Dict[int, Tuple[int, int, int, deque]]] = None
-        win_key = win_iport = win_ivc = win_oport = -1
-        win_q: Optional[deque] = None
-        ncand = 0
-        route_out = self.route_out
-        out_vc = self.out_vc
-        sent = self.sent
-        downstream = self.downstream
-        dead = None
-        fa = net.faults
-        for key_iv, q in self.active.items():
-            if not q:
-                if dead is None:
-                    dead = [key_iv]
-                else:
-                    dead.append(key_iv)
-                continue
-            iport, ivc = key_iv
-            head = q[0]
-            if head[_AVAIL] == 0:
-                continue  # waiting for upstream flits
-            if cycle < head[_READY]:
-                continue  # router-pipeline dwell
-            pkt: Packet = head[_PKT]
-            oport = route_out[iport][ivc]
-            if oport < 0:
-                oport = net.route(self, pkt)
-                if oport < 0:
-                    continue  # no admissible output this cycle
-                route_out[iport][ivc] = oport
-            if oport == LOCAL_PORT:
-                if sent[iport][ivc] == 0 and not net.nics[self.rid].can_eject(pkt):
-                    continue  # ejection gate closed (phase-A snapshot)
-            else:
-                if fa is not None and (self.rid, oport) in net.fault_down:
-                    if out_vc[iport][ivc] < 0:
-                        route_out[iport][ivc] = -1
-                    continue
-                ovc = out_vc[iport][ivc]
-                down, dport = downstream[oport]
-                if ovc >= 0:
-                    if down.occ[dport][ovc] >= down.vc_cap:
-                        continue  # credit stall
-                    owner = down.owner[dport][ovc]
-                    if owner is not None and owner is not pkt:
-                        continue  # lock held by another worm
-                elif not self._allocate_vc(iport, ivc, oport, pkt, down, dport):
-                    continue  # VC-allocation stall
-            ncand += 1
-            if winners is None:
-                if ncand == 1:
-                    win_key = (pkt.cls << 48) | pkt.pid
-                    win_iport, win_ivc, win_oport = iport, ivc, oport
-                    win_q = q
-                    continue
-                winners = {win_oport: (win_key, win_iport, win_ivc, win_q)}
-            key = (pkt.cls << 48) | pkt.pid
-            cur = winners.get(oport)
-            if cur is None or key < cur[0]:
-                winners[oport] = (key, iport, ivc, q)
-        if dead is not None:
-            active_pop = self.active.pop
-            for key_iv in dead:
-                active_pop(key_iv, None)
-        if winners is None:
-            if ncand:
-                moves.append((self, win_iport, win_ivc, win_oport, win_q))
-            return
-        taken_inputs = set()
-        for _oport, (key, iport, ivc, q) in sorted(
-            winners.items(), key=lambda kv: kv[1][0]
-        ):
-            if iport in taken_inputs:
-                continue
-            taken_inputs.add(iport)
-            moves.append((self, iport, ivc, _oport, q))
+        return True
 
     def _allocate_vc(
         self, iport: int, ivc: int, oport: int, pkt: Packet, down, dport
@@ -527,43 +383,52 @@ class Router:
                 return True
         return False
 
-    def _move_flit(
-        self, iport: int, ivc: int, oport: int, cycle: int, q: deque
-    ) -> None:
-        net = self.net
-        tel = net.stall_tel
+
+def commit_moves(net, moves: List, cycle: int) -> None:
+    """Phase B of the fabric's two-phase step: apply ``net``'s moves.
+
+    ``moves`` are the ``(router, iport, ivc, oport, q)`` tuples
+    :meth:`Router.decide` chose for one pass, in (router id, winner key)
+    order.  Each moves one flit of a head worm one hop: into the
+    downstream router's input VC, or out through the local ejection
+    port.  The wakes it raises (the freed credit's upstream router, the
+    receiving router) take effect from the next pass.
+    """
+    tel = net.stall_tel
+    fa = net.faults
+    ids = net._active_ids
+    link_flits = net.link_flits
+    for router, iport, ivc, oport, q in moves:
         if tel is not None:
-            tel.on_advance(self, iport, ivc, cycle)
+            tel.on_advance(router, iport, ivc, cycle)
         head = q[0]
         pkt: Packet = head[_PKT]
         head[_AVAIL] -= 1
-        self.occ[iport][ivc] -= 1
-        sent_row = self.sent[iport]
+        router.occ[iport][ivc] -= 1
+        sent_row = router.sent[iport]
         nsent = sent_row[ivc] + 1
         sent_row[ivc] = nsent
-        self.flits_routed += 1
-        # drain-wake: freeing a buffer slot is the credit event the (unique)
-        # upstream feeder of this input port may be sleeping on
-        up = self.upstream[iport]
-        if up is not None and up.active and up.rid not in net._active_ids:
-            net.mark_router_active(up.rid)
+        router.flits_routed += 1
+        # drain-wake: freeing a buffer slot is the credit event the
+        # (unique) upstream feeder of this input port may be sleeping on
+        up = router.upstream[iport]
+        if up is not None and up.active and up.rid not in ids:
+            ids.add(up.rid)
         is_tail = nsent == pkt.size_flits
         if oport == LOCAL_PORT:
             if is_tail:
-                net.eject_flit(self.rid, pkt, is_tail, cycle)
+                net.eject_flit(router.rid, pkt, is_tail, cycle)
         else:
-            down, dport = self.downstream[oport]
-            ovc = self.out_vc[iport][ivc]
-            down.accept_flit(dport, ovc, pkt, is_tail, cycle)
-            net.link_flits[self.rid][oport] += 1
-            fa = net.faults
+            down, dport = router.downstream[oport]
+            down.accept_flit(dport, router.out_vc[iport][ivc], pkt, is_tail, cycle)
+            link_flits[router.rid][oport] += 1
             if fa is not None and nsent == 1:
-                fa.on_link_head(net, self.rid, oport, pkt)
+                fa.on_link_head(net, router.rid, oport, pkt)
         if is_tail:
             pkt.hops += 1
             q.popleft()
-            self.route_out[iport][ivc] = -1
-            self.out_vc[iport][ivc] = -1
+            router.route_out[iport][ivc] = -1
+            router.out_vc[iport][ivc] = -1
             sent_row[ivc] = 0
             if not q:
-                self.active.pop((iport, ivc), None)
+                router.active.pop((iport, ivc), None)

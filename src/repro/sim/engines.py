@@ -5,17 +5,19 @@ implementation of the NoC fabric's per-cycle kernel:
 
 ``object``
     The per-object reference kernel (:class:`repro.noc.network.NocFabric`):
-    Python routers/NICs stepped by the active-set scheduler.  Supports
-    everything (telemetry, adaptive routing, every fault plan) and is the
-    oracle the fast path is validated against.
+    Python routers/NICs stepped in two phases (decide, then commit) by the
+    active-set scheduler.  Supports everything (telemetry, adaptive
+    routing, every fault plan) and is the readable reference model the
+    fast path is validated against.
 
 ``vector``
     The struct-of-arrays batch kernel
     (:class:`repro.sim.vector.fabric.VectorFabric`): flit/VC/credit/link
     state in preallocated numpy arrays, the whole network advanced in
     batch per-cycle array ops.  ~10x the object kernel on saturated
-    meshes; validated bit-identical to the object kernel's synchronous
-    oracle mode (see DESIGN.md §12).  Unsupported features fail fast with
+    meshes; computes the object kernel's semantics and is validated
+    bit-identical to it (see DESIGN.md §12), so the backend is a speed
+    choice, not a different model.  Unsupported features fail fast with
     a one-line :class:`BackendError` instead of silently diverging.
 
 The registry is deliberately tiny: a name → (build, check) table plus the

@@ -157,7 +157,6 @@ class VectorNet:
         self.faults = None
         self.fault_down: frozenset = frozenset()
         self.fault_frozen: frozenset = frozenset()
-        self.full_scan = False
         self._port_of = kernel.port_of
         self.packets_delivered = 0
         self.flits_delivered = 0
@@ -405,7 +404,6 @@ class VectorFabric:
             for kind in (0, 1):
                 net_i = kernel.net_of_kind[kind]
                 self._rviews[(kind, node)] = _RouterView(kernel, net_i, node)
-        self.full_scan = False
         self.telemetry = None
         self.faults = None
 
@@ -453,7 +451,7 @@ class VectorFabric:
             net.cycles += 1
         self.kernel.step(cycle)
         # memory-node NICs run the inherited object-kernel scheduler and
-        # delegation logic; ascending node order matches the oracle (all
+        # delegation logic; ascending node order matches NocFabric (all
         # other NICs' injection is node-disjoint and creates no pids, so
         # batching compute injection first is order-equivalent)
         nics = self.nics

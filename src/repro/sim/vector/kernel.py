@@ -33,7 +33,7 @@ One cycle = ``bandwidth`` two-phase passes followed by NIC injection:
 2. **Commit** — all winners move at once: source counters decrement,
    arriving flits merge into or append to downstream rings, tails pop
    and promote the next ring entry to the head mirror.  Python-side
-   effects (deliveries, fault hooks) run in the oracle's
+   effects (deliveries, fault hooks) run in the object kernel's
    (network, router, key) order; on the fault-free, memory-less fast
    path the delivery counters are batched into array updates and only
    the per-packet object bookkeeping loops.
@@ -42,7 +42,7 @@ Injection batches every compute NIC per network kind: in-flight worms
 continue lowest-VC-first, then new worms start on free VCs.  With
 separate physical networks the (kind, node) injection lanes coincide
 with the router rows, so both kinds run fused in one batch; a shared
-network interleaves the kinds with the oracle's parity order and budget.
+network interleaves the kinds with the object kernel's parity order and budget.
 Memory-node NICs keep their exact Python behaviour (priority scheduling,
 delegation) and talk to these arrays through a per-node bridge view.
 """
@@ -481,7 +481,7 @@ class VectorKernel:
                 admit[gi] = True
         if self.gate_nodes:
             # a NIC with an ejection gate: new worms (sent == 0) destined
-            # there ask the gate scalar-side, exactly like the oracle
+            # there ask the gate scalar-side, exactly like the object kernel
             gated = np.flatnonzero(admit & ej & (self.h_sent == 0))
             for f in gated.tolist():
                 rid = (f // self.PV) % self.n
@@ -503,7 +503,7 @@ class VectorKernel:
         w = stamp[sgrp] == pos
         sadm = sadm[w]
         # one flit per input port: first occurrence per port among the
-        # per-output winners, still in key order (= the oracle's greedy)
+        # per-output winners, still in key order (= the object kernel's greedy)
         ip = sadm // self.V
         pos = self._arange[:sadm.size]
         stamp[ip[::-1]] = pos[::-1]
@@ -533,7 +533,7 @@ class VectorKernel:
                 heads = np.flatnonzero(nli & (ns == 1))
                 if heads.size:
                     # header link crossings draw from one shared RNG
-                    # stream: call in the oracle's (net, rid, key) order
+                    # stream: call in the object kernel's (net, rid, key) order
                     sub = np.argsort(rows[heads], kind="stable")
                     for j in heads[sub].tolist():
                         f = int(m[j])
@@ -546,7 +546,7 @@ class VectorKernel:
                             self.pk_obj[int(pkt[j])],
                         )
         # deliveries: at most one ejection per router per pass, applied
-        # in the oracle's (net, rid) order
+        # in the object kernel's (net, rid) order
         dmask = ej & tail
         if dmask.any():
             di = np.flatnonzero(dmask)

@@ -36,7 +36,10 @@ from repro.config.system import SystemConfig
 #: sweep-v5: specs carry the simulation backend (repro.sim.engines) and
 #: the object kernel's NIC drains in-flight worms in deterministic
 #: packet-key order, shifting delivered-counter timings slightly.
-CODE_VERSION = "sweep-v5"
+#: sweep-v6: the object kernel steps the fabric in two phases (decide,
+#: then commit), so its results move and equal the vector backend's;
+#: the backend left the key.
+CODE_VERSION = "sweep-v6"
 
 
 def code_salt() -> str:
@@ -64,10 +67,10 @@ class JobSpec:
     #: None for a fault-free run.  Part of the cache key: a chaos run and
     #: a clean run of the same config are different results.
     faults: Optional[str] = None
-    #: simulation engine (see :mod:`repro.sim.engines`).  Part of the
-    #: cache key: backends are pinned bit-identical against the object
-    #: kernel's synchronous oracle, but the default object scheduler is
-    #: asynchronous, so per-backend results may legitimately differ.
+    #: simulation engine (see :mod:`repro.sim.engines`).  NOT part of the
+    #: cache key: every backend computes the same semantics, pinned
+    #: bit-identical by tests, so a result cached by one backend serves
+    #: a request on another.  Manifests still record it as provenance.
     backend: str = "object"
 
     @classmethod
@@ -112,7 +115,8 @@ class JobSpec:
         The ``telemetry`` config section is excluded: tracing is
         observation only (bit-identical counters with it on or off), so
         a traced and an untraced run of the same config share one cache
-        entry.
+        entry.  The ``backend`` is excluded for the same reason: it
+        picks a speed, not a model.
         """
         config = json.loads(self.config_json)
         config.pop("telemetry", None)
@@ -126,7 +130,6 @@ class JobSpec:
                 "warmup": self.warmup,
                 "kernel_flush_interval": self.kernel_flush_interval,
                 "faults": self.faults,
-                "backend": self.backend,
             }
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,96 +1,70 @@
-"""Equivalence harness: the optimised kernel must be behaviour-preserving.
+"""Equivalence harness: both backends compute one simulation semantics.
 
-The active-set scheduler, the precomputed routing tables and every hot-path
-micro-optimisation are pure performance work: running the same seeded
-workload under the optimised stepping and under the naive full-scan
-reference stepping (``fabric.set_reference_stepping(True)``) must produce
-**bit-identical** counters.  These tests fail on the first counter that
-drifts, which pins down perf regressions that silently change behaviour.
+The object kernel (:class:`~repro.noc.network.NocFabric`, the readable
+reference model) and the vector kernel (``backend="vector"``, batch array
+operations) step the fabric with the same two-phase decide-then-commit
+semantics, so the same seeded workload must produce **bit-identical**
+counters on both — on the bench traffic generators and on full-system
+runs.  These tests fail on the first counter that drifts, which pins down
+optimisations (the active-set scheduler, the routing tables, the array
+kernel) that silently change behaviour.
 
-The second half asserts flit/packet conservation through the NoC under
-heavy delegation pressure: nothing the delegation path converts, rejects
-or re-routes may create or lose traffic.
+Adaptive routing runs on the object kernel only, so its pin is
+determinism plus conservation.  The rest asserts flit/packet
+conservation through the NoC under heavy delegation pressure: nothing
+the delegation path converts, rejects or re-routes may create or lose
+traffic.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import BENCH_CONFIGS
-from repro.config.system import DelegationConfig, NocConfig
+from repro.bench.harness import BENCH_CONFIGS, _Lcg
+from repro.config.system import DelegationConfig, NocConfig, RoutingPolicy
 from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system
 
-from conftest import small_config, small_dr_config
+from conftest import fabric_counters, small_config, small_dr_config
 
 
-def _fabric_counters(fabric: NocFabric) -> dict:
-    """Every observable counter of a fabric, flattened for == comparison."""
-    out: dict = {}
-    nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
-    for i, net in enumerate(nets.values()):
-        out[f"net{i}.cycles"] = net.cycles
-        out[f"net{i}.packets_delivered"] = net.packets_delivered
-        out[f"net{i}.flits_delivered"] = net.flits_delivered
-        out[f"net{i}.delivered_by_type"] = dict(net.delivered_by_type)
-        out[f"net{i}.link_flits"] = [list(row) for row in net.link_flits]
-        out[f"net{i}.flits_routed"] = [r.flits_routed for r in net.routers]
-        out[f"net{i}.buffered"] = [r.buffered_flits() for r in net.routers]
-    for nic in fabric.nics:
-        nid = nic.node_id
-        out[f"nic{nid}.flits_injected"] = nic.flits_injected
-        out[f"nic{nid}.injected_net"] = dict(nic.flits_injected_net)
-        out[f"nic{nid}.sent_net"] = dict(nic.packets_sent_net)
-        out[f"nic{nid}.received"] = dict(nic.flits_received)
-        out[f"nic{nid}.data_flits"] = nic.data_flits_received
-        if hasattr(nic, "delegations"):
-            out[f"nic{nid}.delegations"] = nic.delegations
-            out[f"nic{nid}.blocked"] = nic.blocked_cycles
-            out[f"nic{nid}.observed"] = nic.observed_cycles
-    return out
-
-
-def _run_synthetic(config_name: str, cycles: int, reference: bool) -> dict:
+def _run_synthetic(config_name: str, cycles: int, backend: str) -> dict:
     builder, _default = BENCH_CONFIGS[config_name]
-    drive, fabric = builder()
-    if reference:
-        fabric.set_reference_stepping(True)
+    drive, fabric = builder(backend=backend)
     for c in range(cycles):
         drive(c)
-    return _fabric_counters(fabric)
+    return fabric_counters(fabric)
+
+
+def _assert_identical(ref: dict, got: dict) -> None:
+    diffs = {k: (ref[k], got.get(k)) for k in ref if got.get(k) != ref[k]}
+    assert not diffs, f"counters drifted between backends: {diffs}"
 
 
 @pytest.mark.parametrize("config_name", ["mesh8x8", "mesh8x8_dr", "shared_vnet"])
 def test_synthetic_counters_bit_identical(config_name):
-    """Optimised vs full-scan stepping on the bench traffic generators."""
-    opt = _run_synthetic(config_name, 1500, reference=False)
-    ref = _run_synthetic(config_name, 1500, reference=True)
-    diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
-    assert not diffs, f"counters drifted under optimised stepping: {diffs}"
+    """Object vs vector kernel on the bench traffic generators."""
+    ref = _run_synthetic(config_name, 1500, "object")
+    _assert_identical(ref, _run_synthetic(config_name, 1500, "vector"))
 
 
 @pytest.mark.parametrize("make_cfg", [small_config, small_dr_config])
 def test_full_system_counters_bit_identical(make_cfg):
-    """End-to-end: every counter in collect_counters matches both modes."""
+    """End-to-end: every counter in collect_counters matches on both."""
 
-    def run(reference: bool) -> dict:
-        system = build_system(make_cfg(), "HS", "canneal")
-        if reference:
-            system.fabric.set_reference_stepping(True)
+    def run(backend: str) -> dict:
+        system = build_system(make_cfg(), "HS", "canneal", backend=backend)
         system.run(700)
         return collect_counters(system)
 
-    opt = run(False)
-    ref = run(True)
-    diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
-    assert not diffs, f"counters drifted under optimised stepping: {diffs}"
+    _assert_identical(run("object"), run("vector"))
 
 
 # ---------------------------------------------------------------------------
-# conservation under heavy delegation
+# conservation
 # ---------------------------------------------------------------------------
 
 
@@ -109,6 +83,54 @@ def _drain(fabric: NocFabric, start_cycle: int, limit: int = 6000) -> int:
         ):
             return cycle
     raise AssertionError("fabric failed to drain — flits lost or stuck")
+
+
+def _assert_conserved(fabric: NocFabric) -> None:
+    nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
+    delivered_pkts = sum(n.packets_delivered for n in nets.values())
+    delivered_flits = sum(n.flits_delivered for n in nets.values())
+    sent_pkts = sum(
+        nic.packets_sent_net[NetKind.REQUEST]
+        + nic.packets_sent_net[NetKind.REPLY]
+        for nic in fabric.nics
+    )
+    injected_flits = sum(nic.flits_injected for nic in fabric.nics)
+    # packets_sent_net is adjusted on delegation (reply decremented,
+    # request incremented) so sends == deliveries exactly
+    assert delivered_pkts == sent_pkts
+    assert delivered_flits == injected_flits
+
+
+@pytest.mark.parametrize("policy", [
+    RoutingPolicy.DYXY, RoutingPolicy.FOOTPRINT, RoutingPolicy.HARE,
+])
+def test_adaptive_routing_deterministic_and_conserving(policy):
+    """Adaptive routing (object kernel only) routes against the frozen
+    start-of-pass state: re-runs are bit-identical, and after the sources
+    stop the fabric drains with every packet delivered."""
+
+    def run():
+        fabric = NocFabric(MeshTopology(4, 4), NocConfig(routing=policy))
+        for nic in fabric.nics:
+            nic.handler = lambda pkt, cycle: None
+        rng = _Lcg(7)
+        for cycle in range(800):
+            for _ in range(3):  # near saturation: adaptivity has choices
+                src = rng.below(16)
+                dst = (src + 1 + rng.below(15)) % 16
+                size = 9 if rng.next() & 1 else 1
+                mtype = MessageType.READ_REPLY if size == 9 else MessageType.READ_REQ
+                fabric.nic(src).try_send(
+                    Packet(src, dst, mtype, TrafficClass.GPU, size), cycle
+                )
+            fabric.step(cycle)
+        return fabric, fabric_counters(fabric)
+
+    fabric, first = run()
+    _assert_identical(first, run()[1])
+    assert first["in_flight"] > 0, "workload too light to exercise routing"
+    _drain(fabric, 800)
+    _assert_conserved(fabric)
 
 
 def test_packet_conservation_under_heavy_delegation():
@@ -154,20 +176,7 @@ def test_packet_conservation_under_heavy_delegation():
     assert delegations > 100, "workload failed to trigger heavy delegation"
 
     _drain(fabric, cycle + 1)
-
-    nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
-    delivered_pkts = sum(n.packets_delivered for n in nets.values())
-    delivered_flits = sum(n.flits_delivered for n in nets.values())
-    sent_pkts = sum(
-        nic.packets_sent_net[NetKind.REQUEST]
-        + nic.packets_sent_net[NetKind.REPLY]
-        for nic in fabric.nics
-    )
-    injected_flits = sum(nic.flits_injected for nic in fabric.nics)
-    # packets_sent_net is adjusted on delegation (reply decremented,
-    # request incremented) so sends == deliveries exactly
-    assert delivered_pkts == sent_pkts
-    assert delivered_flits == injected_flits
+    _assert_conserved(fabric)
 
 
 class TestBenchMemoryTelemetry:

@@ -67,6 +67,29 @@ class TestJobSpec:
         assert base.key() != tiny_spec(gpu="SC").key()
         assert base.key() != tiny_spec(cpu=None).key()
 
+    def test_backend_excluded_from_key(self):
+        # every backend computes one semantics: object and vector specs
+        # of one point are one cache entry
+        obj, vec = tiny_spec(backend="object"), tiny_spec(backend="vector")
+        assert obj.backend != vec.backend
+        assert obj.key() == vec.key()
+
+    def test_cached_vector_result_serves_object_request(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        vec = tiny_spec(backend="vector")
+        SweepRunner(cache=cache, jobs=1).run([vec])
+
+        def must_not_run(spec_dict):
+            raise AssertionError("worker invoked despite cached result")
+
+        obj = tiny_spec(backend="object")
+        out = SweepRunner(cache=cache, jobs=1, worker=must_not_run).run([obj])
+        served = out[obj.key()]
+        assert served.status == "cached"
+        fresh = run_simulation(obj.system_config(), "HS", "bodytrack",
+                               backend="object", **TINY)
+        assert result_bytes(served.result) == result_bytes(fresh)
+
     def test_salt_invalidates_keys(self, monkeypatch):
         before = tiny_spec().key()
         monkeypatch.setenv("REPRO_SWEEP_SALT", "different-code")

@@ -1,7 +1,8 @@
-"""Bit-identity matrix: ``backend="vector"`` vs the object-kernel oracle.
+"""Bit-identity matrix: ``backend="vector"`` vs the object kernel.
 
-The vector backend implements the synchronous two-phase semantics of
-``NocFabric.set_sync_stepping(True)`` (DESIGN.md §12).  Every test here
+The vector backend computes the object kernel's two-phase
+(decide-then-commit) step in batch array operations (DESIGN.md §12).
+Both are built fresh, with no mode switch.  Every test here
 drives the *identical* pre-generated packet schedule through both
 fabrics and asserts every observable counter — delivered packets/flits
 per network, per-type delivery counts, per-router routed/buffered flits,
@@ -20,6 +21,8 @@ from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
 from repro.sim.engines import BackendError, build_fabric
 from repro.sim.vector.fabric import VectorFabric
+
+from conftest import fabric_counters
 
 # ---------------------------------------------------------------------------
 # schedule generation (state-independent: both backends replay it verbatim)
@@ -102,41 +105,10 @@ def _drive(fabric, sched, latencies):
     return len(sched)
 
 
-def _collect(fabric) -> dict:
-    """Every observable counter, via backend-neutral explicit reads."""
-    out: dict = {}
-    nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
-    for i, net in enumerate(nets.values()):
-        out[f"net{i}.cycles"] = net.cycles
-        out[f"net{i}.packets_delivered"] = net.packets_delivered
-        out[f"net{i}.flits_delivered"] = net.flits_delivered
-        out[f"net{i}.delivered_by_type"] = dict(net.delivered_by_type)
-        out[f"net{i}.total_routed"] = net.total_flits_routed()
-        out[f"net{i}.flits_routed"] = [r.flits_routed for r in net.routers]
-        out[f"net{i}.buffered"] = [r.buffered_flits() for r in net.routers]
-        out[f"net{i}.link_flits"] = [list(row) for row in net.link_flits]
-    for nic in fabric.nics:
-        nid = nic.node_id
-        out[f"nic{nid}.flits_injected"] = nic.flits_injected
-        for kind in (NetKind.REQUEST, NetKind.REPLY):
-            out[f"nic{nid}.injected_{int(kind)}"] = nic.flits_injected_net[kind]
-            out[f"nic{nid}.sent_{int(kind)}"] = nic.packets_sent_net[kind]
-        for cls in (TrafficClass.CPU, TrafficClass.GPU):
-            out[f"nic{nid}.received_{int(cls)}"] = nic.flits_received[cls]
-        out[f"nic{nid}.data_flits"] = nic.data_flits_received
-        if hasattr(nic, "delegations"):
-            out[f"nic{nid}.delegations"] = nic.delegations
-            out[f"nic{nid}.blocked"] = nic.blocked_cycles
-            out[f"nic{nid}.observed"] = nic.observed_cycles
-    out["in_flight"] = fabric.in_flight_flits()
-    return out
-
-
 def _run_backend(backend, dims, cfg, sched, mem_nodes=(), delegation=False):
     topo = MeshTopology(*dims)
     if backend == "object":
         fabric = NocFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
-        fabric.set_sync_stepping(True)
     else:
         fabric = VectorFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
     if delegation:
@@ -145,14 +117,14 @@ def _run_backend(backend, dims, cfg, sched, mem_nodes=(), delegation=False):
             mech.attach(fabric.nic(m))
     latencies: list = []
     _drive(fabric, sched, latencies)
-    counters = _collect(fabric)
+    counters = fabric_counters(fabric)
     counters["latency_multiset"] = sorted(latencies)
     return counters
 
 
 def _assert_identical(ref: dict, got: dict) -> None:
     diffs = {k: (ref[k], got.get(k)) for k in ref if got.get(k) != ref[k]}
-    assert not diffs, f"vector backend drifted from the oracle: {diffs}"
+    assert not diffs, f"vector backend drifted from the object kernel: {diffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +263,14 @@ def test_vector_rejects_telemetry_attach():
 
 # ----------------------------------------------------------------------
 # full-system bit-identity: HeterogeneousSystem on the vector backend vs
-# the object kernel in synchronous (oracle) stepping
+# the object kernel
 # ----------------------------------------------------------------------
 
 
 def _system_result(cfg, backend, *, faults=None, cycles=400, warmup=150):
     from repro.sim.simulator import build_system, run_simulation
 
-    if backend == "object":
-        system = build_system(cfg, "BP", "canneal", faults=faults)
-        system.fabric.set_sync_stepping(True)
-    else:
-        system = build_system(
-            cfg, "BP", "canneal", faults=faults, backend="vector"
-        )
+    system = build_system(cfg, "BP", "canneal", faults=faults, backend=backend)
     return run_simulation(
         cfg, "BP", "canneal", cycles=cycles, warmup=warmup, system=system
     )
